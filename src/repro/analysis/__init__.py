@@ -24,7 +24,7 @@ messages hide.  This package turns that debugging into tooling:
   CFGs tracking views derived from ``deserialize(copy=False)``, arena
   blocks, and pool handles: view-escapes past the owning block's release,
   release-while-borrowed, writes through read-only views, and
-  ``LaneHeaderQueue`` call sites violating their CONTROL_BLOCK /
+  ``HeaderQueue`` call sites violating their CONTROL_BLOCK /
   CONTROL_UNBOUNDED reclaim contracts (``lane-contract``);
 * :mod:`repro.analysis.topology` — static extraction of the communication
   topology (which component sends which ``MsgType`` to which role), the

@@ -31,12 +31,13 @@ Four rules:
     copying first is what ``copy=True`` is for.
 
 ``lane-contract`` (error)
-    A :class:`~repro.core.flowcontrol.LaneHeaderQueue` call site violating
-    the declared reclaim-ownership contract: CONTROL_BLOCK queues
-    self-reclaim rejected/shed headers and therefore need a ``reclaim=``
-    callback at construction; CONTROL_UNBOUNDED queues put reclaim on the
-    caller, so discarding the boolean result of ``put``/``put_many`` drops
-    the only signal that a header (and its store share) was rejected.
+    A :class:`~repro.core.communicator.HeaderQueue` call site violating
+    the declared reclaim-ownership contract: CONTROL_BLOCK queues (the
+    default policy) self-reclaim rejected/shed headers and therefore need a
+    ``reclaim=`` callback at construction; CONTROL_UNBOUNDED queues put
+    reclaim on the caller, so discarding the result of ``put``/``put_many``
+    drops the only signal that a header (and its store share) was
+    rejected.
 
 Findings inside ``with pytest.raises(...)`` blocks are suppressed — tests
 provoke these failures on purpose.
@@ -516,8 +517,12 @@ def _scoped_walk(root: ast.AST):
             stack.append(child)
 
 
+#: The queue class whose call sites the ``lane-contract`` rule checks.
+_HEADER_QUEUE = "HeaderQueue"
+
+
 def _lane_policy(call: ast.Call) -> str:
-    """Declared control policy of a ``LaneHeaderQueue(...)`` call site."""
+    """Declared control policy of a ``HeaderQueue(...)`` call site."""
     for keyword in call.keywords:
         if keyword.arg != "control_policy":
             continue
@@ -547,7 +552,7 @@ def _lane_constructor_findings(
     """
     unbounded: Dict[str, ast.Call] = {}
     for child in _scoped_walk(node):
-        if not (isinstance(child, ast.Call) and _call_leaf(child) == "LaneHeaderQueue"):
+        if not (isinstance(child, ast.Call) and _call_leaf(child) == _HEADER_QUEUE):
             continue
         policy = _lane_policy(child)
         if policy == "block" and not _has_reclaim(child):
@@ -557,7 +562,7 @@ def _lane_constructor_findings(
                     child.lineno,
                     Severity.ERROR,
                     LANE_CONTRACT,
-                    "LaneHeaderQueue with CONTROL_BLOCK policy has no "
+                    "HeaderQueue with CONTROL_BLOCK policy has no "
                     "reclaim= callback — rejected/shed headers self-reclaim "
                     "through it (pass reclaim=..., or an explicit "
                     "reclaim=None to declare the headers own nothing)",
@@ -570,7 +575,7 @@ def _lane_constructor_findings(
         if not isinstance(child, ast.Assign) or len(child.targets) != 1:
             continue
         value = child.value
-        if not (isinstance(value, ast.Call) and _call_leaf(value) == "LaneHeaderQueue"):
+        if not (isinstance(value, ast.Call) and _call_leaf(value) == _HEADER_QUEUE):
             continue
         if _lane_policy(value) != "unbounded":
             continue
@@ -622,10 +627,10 @@ def _lane_discard_findings(
 def run_lane_contract_rules(
     sources: List[Tuple[str, ast.AST]]
 ) -> List[Finding]:
-    """Check ``LaneHeaderQueue`` call sites against reclaim contracts."""
+    """Check ``HeaderQueue`` call sites against reclaim contracts."""
     findings: List[Finding] = []
     for path, tree in sources:
-        if "LaneHeaderQueue" not in ast.dump(tree):
+        if _HEADER_QUEUE not in ast.dump(tree):
             continue
         scopes: List[Tuple[str, ast.AST]] = [("<module>", tree)]
         for info in iter_functions([(path, tree)]):

@@ -140,7 +140,7 @@ RULES: Dict[str, RuleInfo] = {
     ),
     LANE_CONTRACT: RuleInfo(
         LANE_CONTRACT, Severity.ERROR,
-        "LaneHeaderQueue call site violates its reclaim-ownership contract",
+        "HeaderQueue call site violates its reclaim-ownership contract",
     ),
 }
 
@@ -167,8 +167,7 @@ THREADED_CLASS_NAMES = {
     "HeaderQueue",
     "ThrottledLink",
     "LaneChannel",
-    "LaneHeaderQueue",
-    "FlowMessageBuffer",
+    "MessageBuffer",
     "WireCompressor",
     "FlowController",
     "SocketLink",

@@ -58,8 +58,11 @@ ROLE_BY_CLASS: Dict[str, str] = {
 #: Roles the framework routes to; only these can be orphaned.
 KNOWN_ROLES = ("explorer", "learner", "controller")
 
-#: Queue-like constructors whose ``maxsize`` argument bounds them.
-_QUEUE_CONSTRUCTORS = {"Queue", "MessageBuffer", "HeaderQueue", "SendBuffer", "ReceiveBuffer"}
+#: Queue-like constructors whose ``maxsize`` argument bounds them.  The
+#: framework's own queues (``HeaderQueue``, ``MessageBuffer``) take no
+#: ``maxsize``: their only blocking bound is the flow-control watermark,
+#: whose admission deadline raises instead of deadlocking.
+_QUEUE_CONSTRUCTORS = {"Queue"}
 
 
 def role_for_name(name: str) -> str:

@@ -16,9 +16,8 @@ from typing import Any, Dict, Optional
 from ..transport.fabric import Fabric
 from .communicator import HeaderQueue, ShareMemCommunicator
 from .concurrency import make_lock, runtime_checks_enabled
-from .errors import LifecycleError, UnknownObjectError
-from .flowcontrol import WireCompressor, wire_decode
-from .message import DST, OBJECT_ID
+from .errors import LifecycleError
+from .flowcontrol import WireCompressor, release_header_shares, wire_decode
 from .object_store import ObjectStore
 from .ownership import receives_ownership
 from .router import AlgorithmAgnosticRouter
@@ -45,26 +44,23 @@ class Broker:
         #: every endpoint registered against this broker
         self.coalescing = coalescing
         #: :class:`~repro.core.config.FlowControlSpec` (or None); when set,
-        #: the communicator's queues grow priority lanes and watermarks and
-        #: endpoints registered against this broker use flow-aware buffers
-        self.flow = flow if flow is not None and flow.enabled else None
+        #: the communicator's queues and the buffers of endpoints registered
+        #: against this broker grow priority lanes and watermarks
+        self.flow = flow
         self.communicator = ShareMemCommunicator(
-            f"{name}.comm", store=store, flow=self.flow
+            f"{name}.comm", store=store, flow=flow
         )
         #: adaptive fabric-boundary codec the FlowController toggles; None
         #: without flow control (and a no-op until enabled even with it)
-        self.wire: Optional[WireCompressor] = (
-            WireCompressor(
-                name, min_bytes=self.flow.wire_compression_min_bytes
+        self.wire: Optional[WireCompressor] = None
+        if flow is not None:
+            self.wire = WireCompressor(
+                name, min_bytes=flow.wire_compression_min_bytes
             )
-            if self.flow is not None
-            else None
-        )
-        if self.flow is not None:
             arena = getattr(self.communicator.object_store, "arena", None)
             if arena is not None and hasattr(arena, "set_watermarks"):
                 arena.set_watermarks(
-                    self.flow.arena_high_watermark, self.flow.arena_low_watermark
+                    flow.arena_high_watermark, flow.arena_low_watermark
                 )
         self._fabric = fabric
         self.router = AlgorithmAgnosticRouter(
@@ -93,13 +89,12 @@ class Broker:
                 return
             self._stopped = True
         self.router.stop()
-        if self.flow is not None:
-            # Wake senders blocked on control-lane admission and wait for
-            # them to finish their queue-side reclaims, so the refcount
-            # audit below cannot race a woken producer.
-            queue = self.communicator.header_queue
-            queue.close()
-            queue.join_producers(timeout=2.0)
+        # Wake senders blocked on control-lane admission and wait for every
+        # producer to finish its queue-side reclaims, so the refcount audit
+        # below cannot race a woken producer.
+        queue = self.communicator.header_queue
+        queue.close()
+        queue.join_producers(timeout=2.0)
         self._release_undispatched()
         try:
             if runtime_checks_enabled():
@@ -132,24 +127,11 @@ class Broker:
         """
         store = self.communicator.object_store
         for header in self.communicator.header_queue.drain():
-            object_id = header.get(OBJECT_ID)
-            if object_id is None:
-                continue
-            for _ in range(max(1, len(header.get(DST) or []))):
-                try:
-                    store.release(object_id)
-                except UnknownObjectError:
-                    break
+            release_header_shares(store, header)
         # Headers already routed into an ID queue nobody drained (e.g. a
         # registered sink with no endpoint) hold one share each.
         for header in self.communicator.drain_parked():
-            object_id = header.get(OBJECT_ID)
-            if object_id is None:
-                continue
-            try:
-                store.release(object_id)
-            except UnknownObjectError:
-                pass
+            release_header_shares(store, header, shares=1)
 
     # -- registration -------------------------------------------------------
     def register_process(self, process_name: str) -> "HeaderQueue":

@@ -1,151 +1,153 @@
 """Send and receive buffers for intra-process staging.
 
 Each explorer/learner process maintains a send buffer and a receive buffer
-(§3.2.1).  Message headers go into the buffer's header queue; message bodies
-into the data list.  The workhorse threads only ever touch these local
-buffers — the sender/receiver threads move data between the buffers and the
-broker's communicator.
+(§3.2.1).  The workhorse threads only ever touch these local buffers — the
+sender/receiver threads move data between the buffers and the broker's
+communicator.
 
-The header queue is ``queue.Queue``-based so monitoring threads can block on
-``get`` and wake event-driven the moment a new header arrives (§4.1).
+A buffer is one :class:`~repro.core.flowcontrol.LaneChannel` of whole
+messages, so monitoring threads block on ``get`` and wake event-driven the
+moment a message arrives (§4.1); a
+:class:`~repro.core.config.FlowControlSpec` gives it priority lanes and
+watermarks.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
-from .concurrency import make_lock
-from .message import Message
-
-
-class _Closed:
-    """Sentinel placed on the header queue to unblock waiters at shutdown."""
-
-
-_CLOSED = _Closed()
+from .config import FlowControlSpec
+from .errors import BackpressureError, BufferClosedError
+from .flowcontrol import CONTROL_BLOCK, CONTROL_UNBOUNDED, lane_of, lanes_for
+from .message import LANE, TYPE, Message
 
 
 class MessageBuffer:
-    """A header queue plus a body table keyed by sequence number.
+    """A closeable blocking queue of whole messages.
 
-    ``put`` stages a whole message; ``get`` blocks until a message is
-    available (or the buffer is closed) and hands back header and body
-    together.  FIFO per producer is guaranteed by the underlying queue.
+    ``put`` stages a message; ``get`` blocks until one is available (or the
+    buffer is closed) and hands back the same object, body and cached frame
+    included, so the sender thread reuses the workhorse's serialization
+    work.  Order is FIFO per producer — per producer and lane under a spec.
+
+    Under a spec the control lane follows :attr:`control_policy`:
+    ``CONTROL_BLOCK`` blocks the producer up to the spec's deadline, then
+    raises :class:`~repro.core.errors.BackpressureError`;
+    ``CONTROL_UNBOUNDED`` never blocks.  The bulk lane sheds its oldest
+    messages at the watermark and hands each to ``on_shed``; messages own
+    no object-store shares, so a shed only loses the message itself.
+    ``put`` raises :class:`~repro.core.errors.BufferClosedError` on a
+    closed buffer — including a blocked control put woken by ``close()``.
     """
 
-    def __init__(self, name: str = "", maxsize: int = 0):
-        self.name = name
-        self._headers: "queue.Queue[object]" = queue.Queue(maxsize=maxsize)
-        #: seq -> (body, cached frame): both survive the queue crossing so
-        #: the sender thread can reuse the workhorse's serialization work.
-        self._bodies: Dict[int, Tuple[object, object]] = {}
-        self._lock = make_lock(f"buffer.{name}" if name else "buffer")
-        self._closed = threading.Event()
-        self.total_put = 0
-        self.total_got = 0
+    control_policy = CONTROL_BLOCK
 
-    def put(self, message: Message, timeout: Optional[float] = None) -> None:
-        if self._closed.is_set():
-            raise RuntimeError(f"buffer {self.name!r} is closed")
-        with self._lock:
-            self._bodies[message.seq] = (message.body, message.frame)
-            self.total_put += 1
-        try:
-            self._headers.put(message.header, timeout=timeout)
-        except queue.Full:
-            with self._lock:
-                self._bodies.pop(message.seq, None)
-                self.total_put -= 1
-            raise
+    def __init__(
+        self,
+        name: str = "",
+        flow: Optional[FlowControlSpec] = None,
+        *,
+        on_shed: Optional[Callable[[Message], None]] = None,
+    ):
+        self.name = name
+        self._on_shed = on_shed
+        self._channel = lanes_for(f"buffer.{name}", flow, self.control_policy)
+        self._deadline = flow.control_deadline_s if flow is not None else None
+
+    def put(self, message: Message) -> None:
+        self.put_many((message,))
 
     def put_many(self, messages: Sequence[Message]) -> None:
-        """Stage several messages with one body-table lock acquisition.
-
-        Only for unbounded buffers (the framework default) — bounded ones
-        need the per-message blocking of :meth:`put`.
-        """
-        if self._headers.maxsize > 0:
-            for message in messages:
-                self.put(message)
-            return
-        if self._closed.is_set():
-            raise RuntimeError(f"buffer {self.name!r} is closed")
-        with self._lock:
-            for message in messages:
-                self._bodies[message.seq] = (message.body, message.frame)
-            self.total_put += len(messages)
-        headers = self._headers
-        with headers.mutex:
-            headers.queue.extend(message.header for message in messages)
-            headers.unfinished_tasks += len(messages)
-            headers.not_empty.notify(len(messages))
+        """Stage several messages under one channel lock acquisition."""
+        lanes = None
+        if self._channel.laned:
+            lanes = [lane_of(message.header.get(TYPE)) for message in messages]
+            for message, lane in zip(messages, lanes):
+                message.header[LANE] = lane.value
+        accepted, shed, expired = self._channel.offer_many(
+            messages, lanes, deadline_s=self._deadline
+        )
+        if shed and self._on_shed is not None:
+            for lost in shed:
+                self._on_shed(lost)
+        if expired:
+            raise BackpressureError(
+                f"buffer {self.name!r}: control-lane admission deadline "
+                f"({self._deadline}s) expired",
+                accepted=accepted,
+            )
+        if accepted < len(messages):
+            raise BufferClosedError(f"buffer {self.name!r} is closed")
 
     def get(self, timeout: Optional[float] = None) -> Optional[Message]:
-        """Blocking fetch; returns ``None`` once the buffer is closed and
-        drained, mirroring a ``Queue.get`` that was woken by shutdown."""
-        try:
-            header = self._headers.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        if header is _CLOSED:
-            # Re-insert so every waiter wakes up.
-            self._headers.put(_CLOSED)
-            return None
-        with self._lock:
-            body, frame = self._bodies.pop(header["seq"], (None, None))
-            self.total_got += 1
-        return Message(header, body, frame)
+        """Blocking fetch; returns ``None`` on timeout or once the buffer is
+        closed and drained."""
+        return self._channel.take(timeout=timeout)
 
     def get_many(
         self, max_items: int, timeout: Optional[float] = None
     ) -> List[Message]:
-        """One blocking :meth:`get` plus a non-blocking drain up to
-        ``max_items`` — the sender thread's per-wakeup batch."""
-        first = self.get(timeout=timeout)
-        if first is None:
-            return []
-        messages = [first]
-        while len(messages) < max_items:
-            extra = self.get(timeout=0.0)
-            if extra is None:
-                break
-            messages.append(extra)
-        return messages
+        """Block for the first message, then drain up to ``max_items`` under
+        the same lock — the sender thread's per-wakeup batch."""
+        return self._channel.take_many(max_items, timeout=timeout)
 
-    def get_nowait(self) -> Optional[Message]:
-        return self.get(timeout=0.0) if not self.empty() else None
-
-    def drain(self) -> Iterator[Message]:
-        """Yield currently-queued messages without blocking."""
-        while True:
-            message = self.get(timeout=0.0)
-            if message is None:
-                return
-            yield message
+    def drain(self) -> List[Message]:
+        """Pop every queued message without blocking."""
+        return self._channel.drain()
 
     def empty(self) -> bool:
-        return self._headers.empty()
+        return self._channel.qsize() == 0
 
     def qsize(self) -> int:
-        return self._headers.qsize()
+        return self._channel.qsize()
+
+    @property
+    def laned(self) -> bool:
+        """True when a spec split the buffer into control and bulk lanes."""
+        return self._channel.laned
+
+    @property
+    def total_put(self) -> int:
+        return self._channel.totals()[0]
+
+    @property
+    def total_got(self) -> int:
+        return self._channel.totals()[1]
+
+    @property
+    def total_shed(self) -> int:
+        return self._channel.totals()[2]
+
+    def flow_stats(self) -> dict:
+        return self._channel.flow_stats()
 
     def close(self) -> None:
-        """Wake all blocked getters; subsequent ``get`` returns ``None`` once
-        the queue is drained of real messages."""
-        if not self._closed.is_set():
-            self._closed.set()
-            self._headers.put(_CLOSED)
+        """Wake all blocked getters and producers; ``get`` returns ``None``
+        once the buffer is drained of real messages."""
+        self._channel.close()
 
     @property
     def closed(self) -> bool:
-        return self._closed.is_set()
+        return self._channel.closed
 
 
 class SendBuffer(MessageBuffer):
-    """Staging area for messages a workhorse thread has produced."""
+    """Staging area for messages a workhorse thread has produced.
+
+    Under a spec, control/weights sends block the *workhorse* at the
+    watermark (deadline bounded — this is where backpressure reaches the
+    API surface); bulk trajectory sends shed the oldest staged rollout.
+    """
 
 
 class ReceiveBuffer(MessageBuffer):
-    """Staging area for messages delivered to a process, awaiting use."""
+    """Staging area for messages delivered to a process, awaiting use.
+
+    The receiver thread must never block on a deadline (it would stall
+    deliveries for every lane), so the control lane is unbounded here — its
+    volume is already bounded upstream by the header-queue watermark.  A
+    slow consumer sheds its own oldest bulk deliveries, which keeps memory
+    bounded end-to-end.
+    """
+
+    control_policy = CONTROL_UNBOUNDED

@@ -153,11 +153,10 @@ class FlowControlSpec:
     :class:`~repro.core.errors.BackpressureError`.  A
     :class:`~repro.obs.flowcontroller.FlowController` polls the metrics
     registry and adapts coalescing/compression/admission at runtime.
-    ``None`` (the default) keeps the seed behaviour — unbounded FIFO
-    queues, no lanes, no adaptation.
+    ``None`` (the default) keeps every queue a single unbounded FIFO lane
+    — no watermarks, no adaptation.
     """
 
-    enabled: bool = True
     #: max queued bulk entries per queue before shed-oldest kicks in
     bulk_watermark: int = 512
     #: max queued control entries before producers block (0 = unbounded)

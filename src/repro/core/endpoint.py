@@ -16,14 +16,15 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+import weakref
+from typing import Any, Callable, List, Optional, Sequence
 
 from .broker import Broker
 from .buffers import ReceiveBuffer, SendBuffer
 from .concurrency import make_lock, spawn_thread
 from .config import CoalescingSpec
 from .errors import BackpressureError, LifecycleError
-from .flowcontrol import Lane, FlowReceiveBuffer, FlowSendBuffer, lane_of
+from .flowcontrol import Lane, lane_of, release_header_shares
 from .message import (
     BODY_SIZE,
     COMPRESSED,
@@ -44,10 +45,6 @@ from .ownership import receives_ownership, transfers_ownership
 from .serialization import measure
 from .stats import LatencyRecorder, ThroughputMeter
 from .tracing import Tracer, flight_dump, flight_recorder
-
-#: One staged header: (header, object_id, refcount, originals) — ``originals``
-#: are the workhorse-visible messages the header carries (one, or a batch).
-_Staged = Tuple[dict, Optional[str], int, List[Message]]
 
 #: Per-wakeup drain bound when coalescing is off (amortizes queue locks
 #: without changing what crosses the wire).
@@ -80,18 +77,12 @@ class ProcessEndpoint:
         self.flow = getattr(broker, "flow", None)
         #: per-process flight recorder (None when disabled via env)
         self._flightrec = flight_recorder()
-        if self.flow is not None:
-            self.send_buffer: Any = FlowSendBuffer(
-                f"{name}.send", self.flow,
-                on_shed=lambda lost: self._record_shed(lost, f"{name}.send"),
-            )
-            self.receive_buffer: Any = FlowReceiveBuffer(
-                f"{name}.recv", self.flow,
-                on_shed=lambda lost: self._record_shed(lost, f"{name}.recv"),
-            )
-        else:
-            self.send_buffer = SendBuffer(f"{name}.send")
-            self.receive_buffer = ReceiveBuffer(f"{name}.recv")
+        self.send_buffer = SendBuffer(
+            f"{name}.send", self.flow, on_shed=self._shed_recorder(f"{name}.send")
+        )
+        self.receive_buffer = ReceiveBuffer(
+            f"{name}.recv", self.flow, on_shed=self._shed_recorder(f"{name}.recv")
+        )
         #: control-lane sends abandoned because their backpressure deadline
         #: expired (written by the sender thread, read by telemetry)
         self.backpressure_expired = 0
@@ -117,8 +108,24 @@ class ProcessEndpoint:
         self._delivery_histogram: Optional[Any] = None
         self._coalesce_histogram: Optional[Any] = None
 
+    def _shed_recorder(self, source: str) -> Callable[[Message], None]:
+        """The ``on_shed`` callback of one local buffer.
+
+        It holds the endpoint weakly: a strong reference would make
+        endpoint and buffer a cycle that keeps a stopped endpoint (and its
+        broker and store) alive until the cyclic collector runs.
+        """
+        endpoint = weakref.ref(self)
+
+        def record(lost: Message) -> None:
+            owner = endpoint()
+            if owner is not None:
+                owner._record_shed(lost, source)
+
+        return record
+
     def _record_shed(self, message: Message, source: str) -> None:
-        """Terminal "shed" event for a message lost in a local flow buffer."""
+        """Terminal "shed" event for a message lost in a local buffer."""
         header = message.header
         if self.tracer is not None:
             self.tracer.record(
@@ -189,12 +196,7 @@ class ProcessEndpoint:
         """
         store = self.broker.communicator.object_store
         for header in self._id_queue.drain():
-            object_id = header.get(OBJECT_ID)
-            if object_id is not None:
-                try:
-                    store.release(object_id)
-                except Exception:  # noqa: BLE001 - already released elsewhere
-                    pass
+            release_header_shares(store, header, shares=1)
 
     # -- workhorse-facing API ------------------------------------------------
     def send(self, message: Message) -> None:
@@ -278,13 +280,11 @@ class ProcessEndpoint:
 
     # -- internal threads -----------------------------------------------------
     @transfers_ownership("staged header carries the object ID across the queue")
-    def _stage(self, message: Message) -> _Staged:
+    def _stage(self, message: Message) -> dict:
         """Insert ``message``'s body into the object store; build its header.
 
         The body goes in with a refcount equal to the destination fan-out;
         the returned header carries the object ID across the header queue.
-        ``originals`` is the list of workhorse-level messages this header
-        represents — for a BATCH envelope, the coalesced sub-messages.
         """
         store = self.broker.communicator.object_store
         refcount = max(1, len(message.dst))
@@ -299,12 +299,11 @@ class ProcessEndpoint:
             object_id = None
         header = dict(message.header)
         header[OBJECT_ID] = object_id
-        originals = [message]
-        return header, object_id, refcount, originals
+        return header
 
     def _stage_coalesced(
         self, messages: Sequence[Message], spec: CoalescingSpec
-    ) -> List[_Staged]:
+    ) -> List[dict]:
         """Stage a drained batch, packing runs of small same-destination
         messages into BATCH envelopes.
 
@@ -313,7 +312,7 @@ class ProcessEndpoint:
         coalescing.  Messages above the size threshold (or already BATCH,
         or body-less control headers) pass through individually.
         """
-        staged: List[_Staged] = []
+        staged: List[dict] = []
         run: List[Message] = []
         run_dst: Optional[tuple] = None
         for message in messages:
@@ -321,10 +320,13 @@ class ProcessEndpoint:
                 message.body is not None
                 and message.body_size <= spec.max_message_bytes
                 and message.msg_type is not MsgType.BATCH
-                # Under flow control a BATCH envelope rides the bulk lane,
-                # so packing a control message into one would forfeit its
-                # priority: control traffic always travels individually.
-                and (self.flow is None or lane_of(message.msg_type) is Lane.BULK)
+                # Under lanes a BATCH envelope rides the bulk lane, so
+                # packing a control message into one would forfeit its
+                # priority: control traffic then travels individually.
+                and (
+                    not self.send_buffer.laned
+                    or lane_of(message.msg_type) is Lane.BULK
+                )
             )
             dst_key = tuple(message.header.get(DST, ())) if packable else None
             if packable and dst_key == run_dst and len(run) < spec.max_batch:
@@ -341,15 +343,13 @@ class ProcessEndpoint:
         self._flush_run(run, staged)
         return staged
 
-    def _flush_run(self, run: List[Message], staged: List[_Staged]) -> None:
+    def _flush_run(self, run: List[Message], staged: List[dict]) -> None:
         if not run:
             return
         if len(run) == 1:
             staged.append(self._stage(run[0]))
             return
-        envelope = pack_batch(run)
-        header, object_id, refcount, _ = self._stage(envelope)
-        staged.append((header, object_id, refcount, list(run)))
+        staged.append(self._stage(pack_batch(run)))
         if self._coalesce_histogram is not None:
             self._coalesce_histogram.observe(len(run))
 
@@ -361,7 +361,8 @@ class ProcessEndpoint:
         small same-destination runs when configured, inserts bodies into the
         object store with refcounts equal to their destination fan-out, and
         pushes all resulting headers onto the communicator's header queue in
-        one batched put (§3.2.1).
+        one batched put (§3.2.1).  The header queue reclaims whatever it
+        sheds or rejects, so a dropped header needs nothing from here.
         """
         communicator = self.broker.communicator
         while not self._stop.is_set():
@@ -376,15 +377,14 @@ class ProcessEndpoint:
                     return
                 continue
             if coalesce:
-                staged = self._stage_coalesced(messages, spec)
+                headers = self._stage_coalesced(messages, spec)
             else:
-                staged = [self._stage(message) for message in messages]
-            headers = [entry[0] for entry in staged]
+                headers = [self._stage(message) for message in messages]
             try:
-                result = communicator.header_queue.put_many(headers)
+                accepted = communicator.header_queue.put_many(headers)
             except BackpressureError as exc:
                 # A control header hit its admission deadline: fail loudly
-                # (once) and drop it plus the unenqueued remainder below.
+                # (once); the queue reclaimed it and the unenqueued rest.
                 with self._backpressure_lock:
                     self.backpressure_expired += 1
                 if not self._backpressure_warned:
@@ -397,25 +397,9 @@ class ProcessEndpoint:
                     # First escalation only: snapshot the last seconds of
                     # channel activity for post-mortem (docs/OBSERVABILITY.md).
                     flight_dump("backpressure")
-                result = exc.accepted
-            # Plain HeaderQueue.put_many returns all-or-nothing booleans;
-            # LaneHeaderQueue returns the admitted prefix length.  Normalize
-            # before slicing — bool is an int and True would slice at 1.
-            accepted = len(staged) if result is True else int(result)
-            if accepted < len(staged):
-                if self.flow is None:
-                    # Plain HeaderQueue: headers dropped because the
-                    # communicator is closing — we still own their shares,
-                    # so undo the store inserts or the bodies leak with
-                    # their full fan-out refcounts.
-                    for _, object_id, refcount, _ in staged[accepted:]:
-                        if object_id is not None:
-                            for _ in range(refcount):
-                                communicator.object_store.release(object_id)
-                # LaneHeaderQueue (CONTROL_BLOCK) reclaimed the rejected
-                # remainder itself — releasing here would double-free.
-                if accepted == 0:
-                    continue
+                accepted = exc.accepted
+            if accepted == 0:
+                continue
             self.sent_meter.record_many(
                 [max(message.body_size, 1) for message in messages]
             )

@@ -27,8 +27,8 @@ class BackpressureError(TransportError):
     producers at the high watermark; if the queue has not drained below the
     low watermark within the configured deadline the put fails loudly with
     this error instead of waiting forever.  ``accepted`` carries how many
-    headers of a batched put were admitted before the expiry so callers can
-    release the object-store shares of the unenqueued remainder.
+    entries of a batched put were admitted before the expiry (the header
+    queue has already reclaimed the shares of the unenqueued remainder).
     """
 
     def __init__(self, message: str, accepted: int = 0):
@@ -37,12 +37,13 @@ class BackpressureError(TransportError):
 
 
 class BufferClosedError(TransportError, RuntimeError):
-    """Raised by flow-controlled buffers on ``put`` after ``close()``.
+    """Raised by :meth:`~repro.core.buffers.MessageBuffer.put` after
+    ``close()``.
 
-    Subclasses ``RuntimeError`` so existing callers that treat a closed
-    :class:`~repro.core.buffers.MessageBuffer` as a shutdown signal keep
-    working; blocked senders woken by a shutdown observe this instead of
-    hanging until their backpressure deadline.
+    Subclasses ``RuntimeError`` so callers that treat a ``RuntimeError``
+    from a buffer as the shutdown signal keep working; blocked senders
+    woken by a shutdown observe this instead of hanging until their
+    backpressure deadline.
     """
 
 

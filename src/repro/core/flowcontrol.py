@@ -1,31 +1,28 @@
 """Adaptive overload control: priority lanes, watermarks, backpressure.
 
 The broker degrades *gracefully* instead of silently when producers outrun
-consumers (docs/FLOW_CONTROL.md).  Three pieces live here:
+consumers (docs/FLOW_CONTROL.md).  The pieces that live here:
 
-* :class:`LaneChannel` — the bounded two-lane primitive every flow-aware
-  queue is built on.  The **control** lane (weights, commands, heartbeats,
-  stats) drains first and blocks its producer with a deadline at the high
-  watermark; the **bulk** lane (rollouts, generic data, batch envelopes)
-  sheds its *oldest* entry past the watermark — in DRL the freshest
-  trajectory is the most on-policy one, so old experience is the right
-  thing to lose.  Within a lane FIFO order is untouched, so
+* :class:`LaneChannel` — the one queue primitive under the broker header
+  queue, the per-destination ID queues and the endpoint buffers
+  (:class:`~repro.core.communicator.HeaderQueue`,
+  :class:`~repro.core.buffers.MessageBuffer`).  Without a
+  :class:`~repro.core.config.FlowControlSpec` it is a single unbounded
+  FIFO lane.  A spec turns on two lanes: the **control** lane (weights,
+  commands, heartbeats, stats) drains first and blocks its producer with
+  a deadline at the high watermark; the **bulk** lane (rollouts, generic
+  data, batch envelopes) sheds its *oldest* entry past the watermark — in
+  DRL the freshest trajectory is the most on-policy one, so old experience
+  is the right thing to lose.  Within a lane FIFO order is untouched, so
   per-(destination, lane) ordering is exactly what it was without lanes.
 
-* :class:`LaneHeaderQueue` — a drop-in for
-  :class:`~repro.core.communicator.HeaderQueue` carrying header dicts.
-  Shed headers still own their senders' object-store shares; a ``reclaim``
-  callback releases them so bounded admission never turns into a refcount
-  leak.
+* :func:`release_header_shares` — the one place a header's object-store
+  shares are released on a path that may race another release (shed,
+  rejected, parked at shutdown).
 
-* :class:`FlowSendBuffer` / :class:`FlowReceiveBuffer` — drop-ins for the
-  endpoint's :class:`~repro.core.buffers.MessageBuffer` subclasses, and
-  :class:`WireCompressor` — the broker's adaptive fabric-boundary codec
+* :class:`WireCompressor` — the broker's adaptive fabric-boundary codec
   the :class:`~repro.obs.flowcontroller.FlowController` switches on when
   link throughput sags.
-
-Everything is opt-in via :class:`~repro.core.config.FlowControlSpec`; with
-the spec unset none of these classes is ever constructed.
 """
 
 from __future__ import annotations
@@ -34,16 +31,14 @@ import threading
 import time
 from collections import deque
 from enum import Enum
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .compression import get_codec
 from .concurrency import make_lock
 from .config import FlowControlSpec
-from .errors import BackpressureError, BufferClosedError
-from .message import DST, LANE, OBJECT_ID, SEQ, TRACE, TYPE, WIRE_CODEC, Message, MsgType
-from .ownership import receives_ownership
+from .errors import BackpressureError, UnknownObjectError
+from .message import DST, LANE, OBJECT_ID, TYPE, WIRE_CODEC, MsgType
 from .serialization import deserialize, serialize
-from .tracing import Tracer
 
 #: Terminal trace-event kinds: a message that hits one of these will never
 #: see "delivered"/"consumed", so span aggregation closes its pending state
@@ -74,10 +69,11 @@ CONTROL_TYPES = frozenset(
 
 def lane_of(msg_type: Any) -> Lane:
     """The lane a message type rides (unknown types default to bulk)."""
-    try:
-        msg_type = MsgType(msg_type)
-    except (ValueError, TypeError):
-        return Lane.BULK
+    if msg_type.__class__ is not MsgType:
+        try:
+            msg_type = MsgType(msg_type)
+        except (ValueError, TypeError):
+            return Lane.BULK
     return Lane.CONTROL if msg_type in CONTROL_TYPES else Lane.BULK
 
 
@@ -106,31 +102,53 @@ class _LaneCounters:
         self.expired = 0
 
 
-class LaneChannel:
-    """Bounded two-lane channel with watermark admission control.
+def _pop_into(queue: Deque[Any], out: List[Any], limit: int) -> int:
+    """Move up to ``limit`` entries from the front of ``queue`` to ``out``."""
+    count = min(limit, len(queue))
+    if count == len(queue):
+        out.extend(queue)
+        queue.clear()
+    else:
+        popleft = queue.popleft
+        out.extend([popleft() for _ in range(count)])
+    return count
 
-    ``control_watermark == 0`` leaves the control lane unbounded (used by
-    per-destination ID queues, where blocking would stall the router for
-    every destination; the bound is enforced upstream at the broker header
-    queue).  ``set_pressure(True)`` scales the bulk watermark by
-    ``pressure_scale`` — the admission-tightening hook the FlowController
-    pulls when arena occupancy crosses its watermark.
+
+class LaneChannel:
+    """Closeable blocking channel: one FIFO lane, or two lanes with watermarks.
+
+    Without a ``bulk_watermark`` the channel is an unbounded FIFO: every
+    entry rides one lane whatever lane it is offered on, nothing is shed
+    and nothing blocks.  A ``bulk_watermark`` turns on the two lanes and
+    their admission control.  ``control_watermark == 0`` then leaves the
+    control lane unbounded (used by per-destination ID queues, where
+    blocking would stall the router for every destination; the bound is
+    enforced upstream at the broker header queue).  ``set_pressure(True)``
+    scales the bulk watermark by ``pressure_scale`` — the
+    admission-tightening hook the FlowController pulls when arena occupancy
+    crosses its watermark.
+
+    Admission and consumption are batched: :meth:`offer_many` admits a
+    whole batch and :meth:`take_many` drains one, each under a single lock
+    acquisition.
     """
 
     def __init__(
         self,
         name: str,
         *,
-        bulk_watermark: int,
-        control_watermark: int,
+        bulk_watermark: Optional[int] = None,
+        control_watermark: int = 0,
         low_fraction: float = 0.5,
         pressure_scale: float = 0.5,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.name = name
         self._clock = clock
-        self._bulk_high = max(1, int(bulk_watermark))
-        self._control_high = max(0, int(control_watermark))
+        #: False for the single-lane FIFO built without a bulk watermark
+        self.laned = bulk_watermark is not None
+        self._bulk_high = max(1, int(bulk_watermark)) if self.laned else 0
+        self._control_high = max(0, int(control_watermark)) if self.laned else 0
         # The release point must sit strictly below the gate point or the
         # hysteresis latch opens the instant it closes (degenerate at
         # control_watermark == 1, where the low watermark must be 0).
@@ -142,11 +160,12 @@ class LaneChannel:
         self._lock = make_lock(f"flow.{name}")
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
-        self._lanes: Dict[Lane, Deque[Any]] = {
-            Lane.CONTROL: deque(),
-            Lane.BULK: deque(),
-        }
-        self._counters = {Lane.CONTROL: _LaneCounters(), Lane.BULK: _LaneCounters()}
+        self._control: Deque[Any] = deque()
+        self._bulk: Deque[Any] = deque()
+        self._control_counts = _LaneCounters()
+        self._bulk_counts = _LaneCounters()
+        # Consumers parked in take_many: producers notify only when one is.
+        self._waiting_takers = 0
         self._gated = False  # control-lane hysteresis latch
         self._pressure = False
         self._closed = False
@@ -159,7 +178,7 @@ class LaneChannel:
 
     def _control_gated(self) -> bool:
         """Hysteresis: gate at the high watermark, release below the low."""
-        depth = len(self._lanes[Lane.CONTROL])
+        depth = len(self._control)
         if self._gated:
             if depth <= self._control_low:
                 self._gated = False
@@ -167,140 +186,191 @@ class LaneChannel:
             self._gated = True
         return self._gated
 
-    def offer(
-        self, item: Any, lane: Lane, *, deadline_s: Optional[float] = None
-    ) -> Tuple[bool, List[Any]]:
-        """Admit ``item`` to ``lane``; returns ``(admitted, shed)``.
+    def _await_control_locked(self, deadline_s: Optional[float]) -> bool:
+        """Block (lock held) until the control gate opens.
 
-        Bulk admission always succeeds on an open channel but may shed the
-        oldest queued bulk entries (returned so the caller can reclaim any
-        resources they own — never under the channel lock).  Control
-        admission blocks until the lane drains below its low watermark, the
-        channel closes (``admitted=False``), or ``deadline_s`` elapses
-        (:class:`~repro.core.errors.BackpressureError`).
+        Returns ``False`` when the deadline expires; a close also ends the
+        wait, which the caller detects through ``self._closed``.
         """
-        shed: List[Any] = []
-        with self._lock:
-            if self._closed:
-                return False, shed
-            counters = self._counters[lane]
-            queue = self._lanes[lane]
-            if lane is Lane.BULK:
-                high = self._effective_bulk_high()
-                while len(queue) >= high:
-                    shed.append(queue.popleft())
-                    counters.shed += 1
-                queue.append(item)
-                counters.put += 1
-                self._not_empty.notify()
-                return True, shed
-            if self._control_high > 0 and self._control_gated():
-                counters.blocked += 1
-                wait_start = self._clock()
-                deadline = (
-                    None if deadline_s is None else wait_start + deadline_s
-                )
-                try:
-                    while not self._closed and self._control_gated():
-                        if deadline is None:
-                            self._not_full.wait(1.0)
-                            continue
-                        remaining = deadline - self._clock()
-                        if remaining <= 0:
-                            counters.expired += 1
-                            raise BackpressureError(
-                                f"channel {self.name!r}: control-lane "
-                                f"admission deadline ({deadline_s}s) expired "
-                                f"at depth {len(queue)}"
-                            )
-                        self._not_full.wait(remaining)
-                finally:
-                    counters.block_seconds += self._clock() - wait_start
-                if self._closed:
-                    return False, shed
-            queue.append(item)
-            counters.put += 1
-            self._not_empty.notify()
-            return True, shed
-
-    # -- consumption ---------------------------------------------------------
-    def _pop_locked(self) -> Tuple[bool, Any]:
-        for lane in (Lane.CONTROL, Lane.BULK):
-            queue = self._lanes[lane]
-            if queue:
-                item = queue.popleft()
-                self._counters[lane].got += 1
-                if lane is Lane.CONTROL:
-                    self._not_full.notify()
-                return True, item
-        return False, None
-
-    def take(self, timeout: Optional[float] = None) -> Optional[Any]:
-        """Blocking control-first pop; None on timeout or once closed+empty."""
-        deadline = None if timeout is None else self._clock() + timeout
-        with self._lock:
-            while True:
-                found, item = self._pop_locked()
-                if found:
-                    return item
-                if self._closed:
-                    return None
+        counters = self._control_counts
+        counters.blocked += 1
+        wait_start = self._clock()
+        deadline = None if deadline_s is None else wait_start + deadline_s
+        try:
+            while not self._closed and self._control_gated():
                 if deadline is None:
-                    self._not_empty.wait(1.0)
+                    self._not_full.wait(1.0)
                     continue
                 remaining = deadline - self._clock()
                 if remaining <= 0:
-                    return None
-                self._not_empty.wait(remaining)
+                    counters.expired += 1
+                    return False
+                self._not_full.wait(remaining)
+            return True
+        finally:
+            counters.block_seconds += self._clock() - wait_start
+
+    def _wake_takers(self, count: int) -> None:
+        if count and self._waiting_takers:
+            self._not_empty.notify(count)
+
+    def offer_many(
+        self,
+        items: Sequence[Any],
+        lanes: Optional[Sequence[Lane]] = None,
+        *,
+        deadline_s: Optional[float] = None,
+    ) -> Tuple[int, List[Any], bool]:
+        """Admit ``items`` in order under one lock; returns
+        ``(accepted, shed, expired)``.
+
+        ``lanes`` names each item's lane; without it (or on a single-lane
+        channel) the whole batch is appended to the FIFO in one step.  Bulk
+        admission always succeeds on an open channel but may shed the
+        oldest queued bulk entries (returned so the caller can reclaim any
+        resources they own — never under the channel lock).  Control
+        admission blocks while the lane is gated, up to ``deadline_s`` per
+        item.  ``accepted`` is the admitted prefix: it falls short when the
+        channel is (or becomes) closed, or when ``items[accepted]`` expired
+        at its deadline (``expired`` is then True).
+        """
+        with self._lock:
+            shed: List[Any] = []
+            if self._closed:
+                return 0, shed, False
+            if lanes is None or not self.laned:
+                self._bulk.extend(items)
+                self._bulk_counts.put += len(items)
+                self._wake_takers(len(items))
+                return len(items), shed, False
+            accepted = pending = 0
+            expired = False
+            bulk_counters = self._bulk_counts
+            control_counters = self._control_counts
+            for item, lane in zip(items, lanes):
+                if lane is Lane.BULK:
+                    queue = self._bulk
+                    high = self._effective_bulk_high()
+                    while len(queue) >= high:
+                        shed.append(queue.popleft())
+                        bulk_counters.shed += 1
+                    queue.append(item)
+                    bulk_counters.put += 1
+                else:
+                    if self._control_high > 0 and self._control_gated():
+                        # Wake consumers for what this batch already queued:
+                        # only they can drain the lane below its low mark.
+                        self._wake_takers(pending)
+                        pending = 0
+                        if not self._await_control_locked(deadline_s):
+                            expired = True
+                            break
+                        if self._closed:
+                            break
+                    self._control.append(item)
+                    control_counters.put += 1
+                accepted += 1
+                pending += 1
+            self._wake_takers(pending)
+            return accepted, shed, expired
+
+    def offer(
+        self, item: Any, lane: Lane, *, deadline_s: Optional[float] = None
+    ) -> Tuple[bool, List[Any]]:
+        """Admit one ``item``; returns ``(admitted, shed)``.
+
+        Raises :class:`~repro.core.errors.BackpressureError` when a gated
+        control admission outlives ``deadline_s``.
+        """
+        accepted, shed, expired = self.offer_many(
+            (item,), (lane,), deadline_s=deadline_s
+        )
+        if expired:
+            raise BackpressureError(
+                f"channel {self.name!r}: control-lane admission deadline "
+                f"({deadline_s}s) expired"
+            )
+        return accepted == 1, shed
+
+    # -- consumption ---------------------------------------------------------
+    def _pop_locked(self, max_items: int) -> List[Any]:
+        """Control-first drain of up to ``max_items`` entries (lock held)."""
+        items: List[Any] = []
+        if self._control:
+            self._control_counts.got += _pop_into(self._control, items, max_items)
+            self._not_full.notify_all()
+        if self._bulk and len(items) < max_items:
+            self._bulk_counts.got += _pop_into(
+                self._bulk, items, max_items - len(items)
+            )
+        return items
+
+    def _wait_locked(self, timeout: Optional[float]) -> bool:
+        """Block (lock held) until an entry is queued; ``False`` on timeout
+        or once the channel is closed and empty."""
+        deadline = None if timeout is None else self._clock() + timeout
+        while not (self._control or self._bulk):
+            if self._closed:
+                return False
+            if deadline is None:
+                self._not_empty.wait(1.0)
+                continue
+            remaining = deadline - self._clock()
+            if remaining <= 0:
+                return False
+            self._not_empty.wait(remaining)
+        return True
+
+    def take(self, timeout: Optional[float] = None) -> Optional[Any]:
+        """Blocking control-first pop; None on timeout or once closed+empty."""
+        items = self.take_many(1, timeout=timeout)
+        return items[0] if items else None
 
     def take_many(
         self, max_items: int, timeout: Optional[float] = None
     ) -> List[Any]:
-        """One blocking :meth:`take` plus a same-lock control-first drain."""
-        first = self.take(timeout=timeout)
-        if first is None:
-            return []
-        items = [first]
-        if max_items <= 1:
-            return items
+        """Block for the first entry, then drain up to ``max_items`` under
+        the same lock (control lane first); ``[]`` on timeout or once
+        closed and empty."""
         with self._lock:
-            while len(items) < max_items:
-                found, item = self._pop_locked()
-                if not found:
-                    break
-                items.append(item)
-        return items
+            if not (self._control or self._bulk):
+                self._waiting_takers += 1
+                try:
+                    ready = self._wait_locked(timeout)
+                finally:
+                    self._waiting_takers -= 1
+                if not ready:
+                    return []
+            return self._pop_locked(max(1, max_items))
 
     def drain(self) -> List[Any]:
         """Pop everything without blocking (control lane first)."""
         with self._lock:
-            items = list(self._lanes[Lane.CONTROL]) + list(self._lanes[Lane.BULK])
-            self._lanes[Lane.CONTROL].clear()
-            self._lanes[Lane.BULK].clear()
+            items = list(self._control) + list(self._bulk)
+            self._control.clear()
+            self._bulk.clear()
             self._not_full.notify_all()
             return items
 
     # -- pressure / lifecycle -------------------------------------------------
     def set_pressure(self, active: bool) -> List[Any]:
-        """Tighten (or relax) bulk admission; returns freshly shed entries."""
+        """Tighten (or relax) bulk admission; returns freshly shed entries.
+
+        A no-op on a single-lane channel, which has no watermark to scale.
+        """
         shed: List[Any] = []
         with self._lock:
-            if self._pressure == active:
+            if not self.laned or self._pressure == active:
                 return shed
             self._pressure = active
             if active:
-                queue = self._lanes[Lane.BULK]
+                queue = self._bulk
                 high = self._effective_bulk_high()
-                counters = self._counters[Lane.BULK]
+                counters = self._bulk_counts
                 while len(queue) > high:
                     shed.append(queue.popleft())
                     counters.shed += 1
             return shed
-
-    @property
-    def pressure(self) -> bool:
-        with self._lock:
-            return self._pressure
 
     def close(self) -> None:
         """Close and wake every blocked producer and consumer."""
@@ -317,21 +387,43 @@ class LaneChannel:
             return self._closed
 
     # -- introspection --------------------------------------------------------
+    def _lane_state(self) -> Tuple[Tuple[Lane, Deque[Any], _LaneCounters], ...]:
+        return (
+            (Lane.CONTROL, self._control, self._control_counts),
+            (Lane.BULK, self._bulk, self._bulk_counts),
+        )
+
     def qsize(self) -> int:
         with self._lock:
-            return sum(len(queue) for queue in self._lanes.values())
+            return len(self._control) + len(self._bulk)
+
+    def totals(self) -> Tuple[int, int, int]:
+        """``(put, got, shed)`` summed over both lanes."""
+        with self._lock:
+            control, bulk = self._control_counts, self._bulk_counts
+            return (
+                control.put + bulk.put,
+                control.got + bulk.got,
+                control.shed + bulk.shed,
+            )
 
     def lane_depths(self) -> Dict[str, int]:
+        """Per-lane depth; empty for a single-lane channel."""
+        if not self.laned:
+            return {}
         with self._lock:
-            return {str(lane): len(queue) for lane, queue in self._lanes.items()}
+            return {str(lane): len(queue) for lane, queue, _ in self._lane_state()}
 
     def flow_stats(self) -> Dict[str, float]:
-        """Backpressure accounting for the telemetry sampler."""
+        """Backpressure accounting for the telemetry sampler; empty for a
+        single-lane channel, which has no backpressure to report."""
+        if not self.laned:
+            return {}
         with self._lock:
             stats: Dict[str, float] = {"pressure": float(self._pressure)}
-            for lane, counters in self._counters.items():
+            for lane, queue, counters in self._lane_state():
                 prefix = str(lane)
-                stats[f"{prefix}_depth"] = float(len(self._lanes[lane]))
+                stats[f"{prefix}_depth"] = float(len(queue))
                 stats[f"{prefix}_put"] = float(counters.put)
                 stats[f"{prefix}_got"] = float(counters.got)
                 stats[f"{prefix}_shed"] = float(counters.shed)
@@ -341,358 +433,27 @@ class LaneChannel:
             return stats
 
 
-#: How a flow-aware queue treats its control lane.
+#: How a queue treats its control lane once a spec turns lanes on.
 CONTROL_BLOCK = "block"  # block-with-deadline (header queue, send buffer)
 CONTROL_UNBOUNDED = "unbounded"  # never block (ID queues, receive buffer)
 
 
-class LaneHeaderQueue:
-    """Flow-controlled drop-in for :class:`~repro.core.communicator.HeaderQueue`.
-
-    Headers are stamped with their lane on admission.  ``reclaim`` is
-    invoked (outside the channel lock) for every shed header so its
-    object-store shares are released — bounded admission must not leak.
-
-    Ownership of *rejected* headers depends on the control policy:
-
-    * ``CONTROL_BLOCK`` (the broker header queue) — the queue owns every
-      header handed to ``put``: shed, deadline-expired, and
-      rejected-on-close headers are all reclaimed internally, and
-      :meth:`join_producers` lets ``Broker.stop()`` wait until every
-      blocked producer has been woken *and* finished reclaiming, so the
-      shutdown refcount audit is deterministic.
-    * ``CONTROL_UNBOUNDED`` (per-destination ID queues) — the classic
-      ``HeaderQueue`` contract: the caller releases on a ``False`` return
-      (the router already does exactly that for dead destinations).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        spec: FlowControlSpec,
-        *,
-        reclaim: Optional[Callable[[Dict[str, Any]], None]] = None,
-        control_policy: str = CONTROL_BLOCK,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.name = name
-        self._spec = spec
-        self._reclaim = reclaim
-        self._blocking = control_policy == CONTROL_BLOCK
-        self._clock = clock
-        self._channel = LaneChannel(
-            name,
-            bulk_watermark=spec.bulk_watermark,
-            control_watermark=spec.control_watermark if self._blocking else 0,
-            low_fraction=spec.low_fraction,
-            pressure_scale=spec.pressure_scale,
-            clock=clock,
-        )
-        self._inflight = 0
-        self._inflight_lock = make_lock(f"{name}.inflight")
-        self._inflight_idle = threading.Condition(self._inflight_lock)
-        #: optional :class:`Tracer` — records one terminal event per header
-        #: this queue sheds, expires, or rejects, so span aggregation sees a
-        #: definite outcome instead of a forever-pending entry
-        self.tracer: Optional[Tracer] = None
-
-    def _record_terminal(
-        self, outcome: str, headers: Sequence[Dict[str, Any]]
-    ) -> None:
-        tracer = self.tracer
-        if tracer is None or not headers:
-            return
-        for header in headers:
-            tracer.record(
-                outcome, self.name,
-                seq=header.get(SEQ), trace=header.get(TRACE),
-                dst=",".join(header.get(DST) or ()),
-                type=str(header.get(TYPE)), lane=header.get(LANE),
-            )
-
-    @receives_ownership("shed headers still carry their senders' shares")
-    def _reclaim_all(self, shed: Sequence[Dict[str, Any]]) -> None:
-        if self._reclaim is None:
-            return
-        for header in shed:
-            self._reclaim(header)
-
-    def _enter_put(self) -> None:
-        with self._inflight_lock:
-            self._inflight += 1
-
-    def _exit_put(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._inflight_idle.notify_all()
-
-    def put(self, header: Dict[str, Any]) -> bool:
-        """Admit one header; ``False`` when dropped (queue closed).
-
-        See the class docstring for who releases a rejected header's
-        shares: this queue itself under ``CONTROL_BLOCK``, the caller
-        under ``CONTROL_UNBOUNDED``.
-        """
-        self._enter_put()
-        try:
-            return self._put_locked_out(header)
-        finally:
-            self._exit_put()
-
-    def _put_locked_out(self, header: Dict[str, Any]) -> bool:
-        lane = header_lane(header)
-        header[LANE] = str(lane)
-        deadline = (
-            self._spec.control_deadline_s
-            if self._blocking and lane is Lane.CONTROL
-            else None
-        )
-        try:
-            admitted, shed = self._channel.offer(
-                header, lane, deadline_s=deadline
-            )
-        except BackpressureError:
-            self._record_terminal(TERMINAL_EXPIRED, [header])
-            if self._blocking:
-                self._reclaim_all([header])
-            raise
-        self._record_terminal(TERMINAL_SHED, shed)
-        self._reclaim_all(shed)
-        if not admitted and self._blocking:
-            # Non-blocking (ID-queue) rejects are terminal-traced by the
-            # caller, who owns the header's shares on a False return.
-            self._record_terminal(TERMINAL_REJECTED, [header])
-            self._reclaim_all([header])
-        return admitted
-
-    def put_many(self, headers: Sequence[Dict[str, Any]]) -> int:
-        """Admit several headers; returns how many were enqueued.
-
-        Unlike ``HeaderQueue.put_many`` (all-or-nothing on an unbounded
-        queue), bounded admission can stop part-way: when the queue closes
-        mid-batch the count is returned, and when a control deadline
-        expires the raised :class:`BackpressureError` carries it as
-        ``accepted``.  Under ``CONTROL_BLOCK`` the unenqueued remainder is
-        reclaimed here; under ``CONTROL_UNBOUNDED`` the caller releases
-        ``headers[accepted:]``.
-        """
-        self._enter_put()
-        try:
-            accepted = 0
-            total = len(headers)
-            for index, header in enumerate(headers):
-                try:
-                    if not self._put_locked_out(header):
-                        break
-                except BackpressureError as exc:
-                    if self._blocking:
-                        self._record_terminal(
-                            TERMINAL_REJECTED, headers[index + 1 :]
-                        )
-                        self._reclaim_all(headers[index + 1 :])
-                    exc.accepted = accepted
-                    raise
-                accepted += 1
-            if accepted < total and self._blocking:
-                # _put_locked_out reclaimed the rejected header itself;
-                # the untried remainder is reclaimed here.
-                self._record_terminal(
-                    TERMINAL_REJECTED, headers[accepted + 1 :]
-                )
-                self._reclaim_all(headers[accepted + 1 :])
-            return accepted
-        finally:
-            self._exit_put()
-
-    def join_producers(self, timeout: float = 2.0) -> bool:
-        """Wait until no ``put``/``put_many`` is in flight.
-
-        Called by ``Broker.stop()`` after :meth:`close`: once this returns
-        ``True``, every producer woken by the close has finished reclaiming
-        its rejected headers, so a refcount audit cannot race them.
-        """
-        deadline = self._clock() + timeout
-        with self._inflight_lock:
-            while self._inflight > 0:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    return False
-                self._inflight_idle.wait(remaining)
-        return True
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        return self._channel.take(timeout=timeout)
-
-    def get_many(
-        self, max_items: int, timeout: Optional[float] = None
-    ) -> List[Dict[str, Any]]:
-        return self._channel.take_many(max_items, timeout=timeout)
-
-    @receives_ownership("drained headers still carry their senders' shares")
-    def drain(self) -> List[Dict[str, Any]]:
-        return self._channel.drain()
-
-    def set_pressure(self, active: bool) -> None:
-        shed = self._channel.set_pressure(active)
-        self._record_terminal(TERMINAL_SHED, shed)
-        self._reclaim_all(shed)
-
-    def close(self) -> None:
-        self._channel.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._channel.closed
-
-    def qsize(self) -> int:
-        return self._channel.qsize()
-
-    def lane_depths(self) -> Dict[str, int]:
-        return self._channel.lane_depths()
-
-    def flow_stats(self) -> Dict[str, float]:
-        return self._channel.flow_stats()
-
-
-class FlowMessageBuffer:
-    """Flow-controlled drop-in for :class:`~repro.core.buffers.MessageBuffer`.
-
-    Holds whole :class:`~repro.core.message.Message` objects (no
-    object-store shares, so sheds only lose the message itself).  ``put``
-    raises :class:`~repro.core.errors.BufferClosedError` on a closed
-    buffer — including a blocked control put woken by ``close()`` — which
-    existing shutdown paths already treat as the end of the world
-    (``RuntimeError`` subclass).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        spec: FlowControlSpec,
-        *,
-        control_policy: str = CONTROL_BLOCK,
-        on_shed: Optional[Callable[[Message], None]] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.name = name
-        self._spec = spec
-        self._blocking = control_policy == CONTROL_BLOCK
-        self._on_shed = on_shed
-        self._channel = LaneChannel(
-            f"buffer.{name}",
-            bulk_watermark=spec.bulk_watermark,
-            control_watermark=spec.control_watermark if self._blocking else 0,
-            low_fraction=spec.low_fraction,
-            pressure_scale=spec.pressure_scale,
-            clock=clock,
-        )
-        self.total_put = 0
-        self.total_got = 0
-        self.total_shed = 0
-        self._totals_lock = make_lock(f"buffer.{name}.totals")
-
-    def put(self, message: Message, timeout: Optional[float] = None) -> None:
-        del timeout  # admission is watermark-driven, not queue.Full-driven
-        if self._channel.closed:
-            raise BufferClosedError(f"buffer {self.name!r} is closed")
-        lane = lane_of(message.msg_type)
-        message.header[LANE] = str(lane)
-        deadline = (
-            self._spec.control_deadline_s
-            if self._blocking and lane is Lane.CONTROL
-            else None
-        )
-        admitted, shed = self._channel.offer(message, lane, deadline_s=deadline)
-        if shed:
-            with self._totals_lock:
-                self.total_shed += len(shed)
-            if self._on_shed is not None:
-                for lost in shed:
-                    self._on_shed(lost)
-        if not admitted:
-            raise BufferClosedError(
-                f"buffer {self.name!r} closed while a send awaited admission"
-            )
-        with self._totals_lock:
-            self.total_put += 1
-
-    def put_many(self, messages: Sequence[Message]) -> None:
-        for message in messages:
-            self.put(message)
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Message]:
-        message = self._channel.take(timeout=timeout)
-        if message is not None:
-            with self._totals_lock:
-                self.total_got += 1
-        return message
-
-    def get_many(
-        self, max_items: int, timeout: Optional[float] = None
-    ) -> List[Message]:
-        messages = self._channel.take_many(max_items, timeout=timeout)
-        if messages:
-            with self._totals_lock:
-                self.total_got += len(messages)
-        return messages
-
-    def get_nowait(self) -> Optional[Message]:
-        return self.get(timeout=0.0) if not self.empty() else None
-
-    def drain(self) -> Iterator[Message]:
-        while True:
-            message = self.get(timeout=0.0)
-            if message is None:
-                return
-            yield message
-
-    def empty(self) -> bool:
-        return self._channel.qsize() == 0
-
-    def qsize(self) -> int:
-        return self._channel.qsize()
-
-    def lane_depths(self) -> Dict[str, int]:
-        return self._channel.lane_depths()
-
-    def flow_stats(self) -> Dict[str, float]:
-        return self._channel.flow_stats()
-
-    def close(self) -> None:
-        self._channel.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._channel.closed
-
-
-class FlowSendBuffer(FlowMessageBuffer):
-    """Send-side staging with real producer backpressure.
-
-    Control/weights sends block the *workhorse* at the watermark (deadline
-    bounded — this is where "explicit backpressure propagated to senders"
-    reaches the API surface); bulk trajectory sends shed the oldest staged
-    rollout instead.
-    """
-
-    def __init__(self, name: str, spec: FlowControlSpec, **kwargs: Any):
-        super().__init__(name, spec, control_policy=CONTROL_BLOCK, **kwargs)
-
-
-class FlowReceiveBuffer(FlowMessageBuffer):
-    """Receive-side staging: control consumed first, bulk bounded.
-
-    The receiver thread must never block on a deadline (it would stall
-    deliveries for every lane), so the control lane is unbounded here — its
-    volume is already bounded upstream by the header-queue watermark.  A
-    slow consumer sheds its own oldest bulk deliveries, which keeps memory
-    bounded end-to-end instead of moving the unbounded queue one hop
-    downstream.
-    """
-
-    def __init__(self, name: str, spec: FlowControlSpec, **kwargs: Any):
-        super().__init__(name, spec, control_policy=CONTROL_UNBOUNDED, **kwargs)
+def lanes_for(
+    name: str, spec: Optional[FlowControlSpec], control_policy: str
+) -> LaneChannel:
+    """The channel a queue of ``control_policy`` runs on under ``spec``:
+    a single FIFO lane without a spec, two watermarked lanes with one."""
+    if spec is None:
+        return LaneChannel(name)
+    return LaneChannel(
+        name,
+        bulk_watermark=spec.bulk_watermark,
+        control_watermark=(
+            spec.control_watermark if control_policy == CONTROL_BLOCK else 0
+        ),
+        low_fraction=spec.low_fraction,
+        pressure_scale=spec.pressure_scale,
+    )
 
 
 class WireCompressor:
@@ -794,5 +555,5 @@ def release_header_shares(
     for _ in range(shares):
         try:
             store.release(object_id)
-        except Exception:  # noqa: BLE001 - already freed (late shed/shutdown)
+        except UnknownObjectError:  # already freed (late shed/shutdown)
             break

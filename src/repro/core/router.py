@@ -23,7 +23,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .communicator import ShareMemCommunicator
 from .concurrency import make_lock, spawn_thread
 from .ownership import receives_ownership, transfers_ownership
-from .errors import RoutingError, UnknownDestinationError, UnknownObjectError
+from .errors import RoutingError, UnknownDestinationError
+from .flowcontrol import release_header_shares
 from .message import BATCH_SEQS, COMPRESSED, DST, OBJECT_ID, SEQ, TRACE, TYPE
 from .tracing import Tracer, flight_recorder
 
@@ -190,12 +191,7 @@ class AlgorithmAgnosticRouter:
                 trace=header.get(TRACE), dst=destination,
                 type=str(header.get(TYPE)),
             )
-        object_id = header.get(OBJECT_ID)
-        if object_id is not None:
-            try:
-                self.communicator.object_store.release(object_id)
-            except UnknownObjectError:
-                pass
+        release_header_shares(self.communicator.object_store, header, shares=1)
 
     def _partition(
         self, destinations: List[str]

@@ -62,8 +62,6 @@ class XingTianSession:
         telemetry = None
         spec = self.config.telemetry
         flow = self.config.flow_control
-        if flow is not None and not flow.enabled:
-            flow = None
         if spec is not None and spec.enabled:
             from .obs import Telemetry
 

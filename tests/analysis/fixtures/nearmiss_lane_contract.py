@@ -2,22 +2,22 @@
 
 
 def block_queue_with_reclaim(spec, reclaim):
-    return LaneHeaderQueue("q", spec, reclaim=reclaim)
+    return HeaderQueue("q", spec, reclaim=reclaim)
 
 
 def block_queue_with_declared_none(spec):
     # Explicit None declares the headers own no store shares.
-    return LaneHeaderQueue("q", spec, reclaim=None)
+    return HeaderQueue("q", spec, reclaim=None)
 
 
 def checked_put_on_unbounded(spec, header):
-    queue = LaneHeaderQueue("q", spec, control_policy=CONTROL_UNBOUNDED)
+    queue = HeaderQueue("q", spec, control_policy=CONTROL_UNBOUNDED)
     if not queue.put(header):
         handle_rejection(header)
     return queue
 
 
 def consumed_put_many_on_unbounded(spec, headers):
-    queue = LaneHeaderQueue("q", spec, control_policy=CONTROL_UNBOUNDED)
+    queue = HeaderQueue("q", spec, control_policy=CONTROL_UNBOUNDED)
     accepted = queue.put_many(headers)
     return accepted

@@ -266,7 +266,7 @@ class TestLaneContract:
             rules_for(
                 """
                 def f(spec):
-                    return LaneHeaderQueue("q", spec)
+                    return HeaderQueue("q", spec)
                 """
             )
             == [LANE_CONTRACT]
@@ -277,7 +277,7 @@ class TestLaneContract:
             rules_for(
                 """
                 def f(spec):
-                    return LaneHeaderQueue("q", spec, reclaim=None)
+                    return HeaderQueue("q", spec, reclaim=None)
                 """
             )
             == []
@@ -288,7 +288,7 @@ class TestLaneContract:
             rules_for(
                 """
                 def f(spec, header):
-                    q = LaneHeaderQueue(
+                    q = HeaderQueue(
                         "q", spec, control_policy=CONTROL_UNBOUNDED
                     )
                     q.put(header)
@@ -302,7 +302,7 @@ class TestLaneContract:
             rules_for(
                 """
                 def f(spec, header):
-                    q = LaneHeaderQueue(
+                    q = HeaderQueue(
                         "q", spec, control_policy=CONTROL_UNBOUNDED
                     )
                     if not q.put(header):
@@ -317,13 +317,13 @@ class TestLaneContract:
         findings = findings_for(
             """
             def f(spec):
-                return LaneHeaderQueue("q", spec)
+                return HeaderQueue("q", spec)
             """
         )
         assert len(findings) == 1
 
     def test_module_level_constructor_covered(self):
-        tree = ast.parse('QUEUE = LaneHeaderQueue("q", SPEC)\n')
+        tree = ast.parse('QUEUE = HeaderQueue("q", SPEC)\n')
         findings = run_lane_contract_rules([("mod.py", tree)])
         assert [f.rule for f in findings] == [LANE_CONTRACT]
         assert findings[0].scope == "<module>"

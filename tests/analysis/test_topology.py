@@ -147,12 +147,12 @@ class TestRules:
     )
 
     def test_bounded_queue_cycle(self):
-        findings = rules_for(self.CYCLE + "buffer = MessageBuffer(maxsize=8)\n")
+        findings = rules_for(self.CYCLE + "buffer = Queue(maxsize=8)\n")
         assert [f.rule for f in findings] == [BOUNDED_QUEUE_CYCLE]
         assert "explorer->learner->explorer" in findings[0].message
 
     def test_unbounded_queues_do_not_warn(self):
-        assert rules_for(self.CYCLE + "buffer = MessageBuffer(maxsize=0)\n") == []
+        assert rules_for(self.CYCLE + "buffer = Queue(maxsize=0)\n") == []
 
 
 class TestArtifacts:

@@ -8,7 +8,7 @@ import pytest
 from repro.core.broker import Broker
 from repro.core.buffers import MessageBuffer
 from repro.core.communicator import HeaderQueue
-from repro.core.config import CoalescingSpec
+from repro.core.config import CoalescingSpec, FlowControlSpec
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.errors import ConfigError
 from repro.core.message import (
@@ -76,13 +76,13 @@ class TestCoalescingSpec:
 
 class TestHeaderQueueBatchOps:
     def test_put_many_get_many_roundtrip(self):
-        queue = HeaderQueue("q")
+        queue = HeaderQueue("q", reclaim=None)
         headers = [{"seq": i} for i in range(10)]
         assert queue.put_many(headers)
         assert queue.get_many(10, timeout=1) == headers
 
     def test_get_many_respects_max_items(self):
-        queue = HeaderQueue("q")
+        queue = HeaderQueue("q", reclaim=None)
         queue.put_many([{"seq": i} for i in range(10)])
         first = queue.get_many(3, timeout=1)
         assert [h["seq"] for h in first] == [0, 1, 2]
@@ -90,18 +90,18 @@ class TestHeaderQueueBatchOps:
         assert [h["seq"] for h in rest] == list(range(3, 10))
 
     def test_put_many_on_closed_queue_drops_all(self):
-        queue = HeaderQueue("q")
+        queue = HeaderQueue("q", reclaim=None)
         queue.close()
         assert not queue.put_many([{"seq": 0}, {"seq": 1}])
         assert queue.get_many(10, timeout=0.05) == []
 
     def test_put_many_empty_is_noop(self):
-        queue = HeaderQueue("q")
-        assert queue.put_many([])
+        queue = HeaderQueue("q", reclaim=None)
+        assert queue.put_many([]) == 0
         assert queue.qsize() == 0
 
     def test_get_many_stops_at_close_sentinel(self):
-        queue = HeaderQueue("q")
+        queue = HeaderQueue("q", reclaim=None)
         queue.put({"seq": 0})
         queue.close()
         # The drain must not swallow the sentinel: later getters still wake.
@@ -109,8 +109,8 @@ class TestHeaderQueueBatchOps:
         assert queue.get(timeout=0.2) is None
 
     def test_bounded_queue_falls_back(self):
-        queue = HeaderQueue("q", maxsize=16)
-        assert queue.put_many([{"seq": i} for i in range(4)])
+        queue = HeaderQueue("q", FlowControlSpec(bulk_watermark=16), reclaim=None)
+        assert queue.put_many([{"seq": i} for i in range(4)]) == 4
         assert len(queue.get_many(4, timeout=1)) == 4
 
 

@@ -11,15 +11,15 @@ from repro.core.errors import RoutingError
 
 class TestHeaderQueue:
     def test_put_get(self):
-        queue = HeaderQueue("q")
+        queue = HeaderQueue("q", reclaim=None)
         queue.put({"seq": 1})
         assert queue.get(timeout=1) == {"seq": 1}
 
     def test_timeout_returns_none(self):
-        assert HeaderQueue("q").get(timeout=0.01) is None
+        assert HeaderQueue("q", reclaim=None).get(timeout=0.01) is None
 
     def test_close_wakes_all_waiters(self):
-        queue = HeaderQueue("q")
+        queue = HeaderQueue("q", reclaim=None)
         results = []
 
         def waiter():
@@ -35,14 +35,14 @@ class TestHeaderQueue:
         assert results == [None, None, None]
 
     def test_put_after_close_is_dropped(self):
-        queue = HeaderQueue("q")
+        queue = HeaderQueue("q", reclaim=None)
         queue.close()
         queue.put({"seq": 1})
         assert queue.get(timeout=0.05) is None
 
     def test_event_driven_wakeup_latency(self):
         """The paper's design: a blocked get returns the moment data lands."""
-        queue = HeaderQueue("q")
+        queue = HeaderQueue("q", reclaim=None)
         latency = {}
 
         def waiter():

@@ -1,22 +1,22 @@
 """Tests for the overload-control subsystem (docs/FLOW_CONTROL.md)."""
 
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.core.broker import Broker
+from repro.core.buffers import ReceiveBuffer, SendBuffer
 from repro.core.communicator import HeaderQueue
+from repro.core.concurrency import spawn_thread
 from repro.core.config import FlowControlSpec
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.errors import BackpressureError, BufferClosedError
 from repro.core.flowcontrol import (
     CONTROL_UNBOUNDED,
-    FlowReceiveBuffer,
-    FlowSendBuffer,
     Lane,
     LaneChannel,
-    LaneHeaderQueue,
     WireCompressor,
     lane_of,
     release_header_shares,
@@ -163,11 +163,62 @@ class TestLaneChannel:
         stats = channel.flow_stats()
         assert stats["bulk_put"] == 1 and stats["control_put"] == 1
 
+    @pytest.mark.parametrize("laned", [False, True])
+    def test_concurrent_batches_lose_nothing(self, laned):
+        # More producers and consumers than cores, with a short switch
+        # interval: a lost update in batch admission or drain would drop
+        # or duplicate an entry, or skew the channel's counters.
+        channel = (
+            self.make(bulk_watermark=1 << 20, control_watermark=0)
+            if laned else LaneChannel("test")
+        )
+        producers, batches, batch = 6, 40, 16
+        received = []
+        received_lock = threading.Lock()
+
+        def produce(tag):
+            for start in range(0, batches * batch, batch):
+                items = [(tag, index) for index in range(start, start + batch)]
+                lanes = [Lane.CONTROL if i % 5 == 0 else Lane.BULK
+                         for i in range(start, start + batch)]
+                accepted, shed, expired = channel.offer_many(items, lanes)
+                assert (accepted, shed, expired) == (batch, [], False)
+
+        def consume():
+            while True:
+                items = channel.take_many(7, timeout=5.0)
+                if not items:
+                    return
+                with received_lock:
+                    received.extend(items)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumers = [spawn_thread(f"take-{n}", consume) for n in range(3)]
+            threads = [
+                spawn_thread(f"offer-{tag}", produce, args=(tag,))
+                for tag in range(producers)
+            ]
+            for thread in threads:
+                thread.join(timeout=30)
+            channel.close()
+            for thread in consumers:
+                thread.join(timeout=30)
+            assert not any(t.is_alive() for t in consumers + threads)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = {(t, i) for t in range(producers) for i in range(batches * batch)}
+        assert len(received) == len(expected)
+        assert set(received) == expected
+        put, got, shed = channel.totals()
+        assert (put, got, shed) == (len(expected), len(expected), 0)
+
 
 class TestLaneHeaderQueue:
     def test_put_stamps_lane(self):
         # reclaim=None: these headers carry no store shares to reclaim.
-        queue = LaneHeaderQueue("q", spec(), reclaim=None)
+        queue = HeaderQueue("q", spec(), reclaim=None)
         header = make_header("a", ["b"], MsgType.WEIGHTS)
         assert queue.put(header)
         assert queue.get(timeout=0)[LANE] == "control"
@@ -180,7 +231,7 @@ class TestLaneHeaderQueue:
             reclaimed.append(header)
             release_header_shares(store, header)
 
-        queue = LaneHeaderQueue("q", spec(bulk_watermark=2), reclaim=reclaim)
+        queue = HeaderQueue("q", spec(bulk_watermark=2), reclaim=reclaim)
         object_ids = []
         for index in range(4):
             object_id = store.put({"i": index}, refcount=1)
@@ -194,14 +245,14 @@ class TestLaneHeaderQueue:
         assert store.leak_report()[0][0] in object_ids[2:]
 
     def test_put_many_returns_accepted_count(self):
-        queue = LaneHeaderQueue("q", spec(bulk_watermark=16), reclaim=None)
+        queue = HeaderQueue("q", spec(bulk_watermark=16), reclaim=None)
         headers = [make_header("a", ["b"], MsgType.DATA) for _ in range(5)]
         assert queue.put_many(headers) == 5
         queue.close()
         assert queue.put_many(headers) == 0
 
     def test_backpressure_error_carries_accepted_prefix(self):
-        queue = LaneHeaderQueue(
+        queue = HeaderQueue(
             "q", spec(control_watermark=2, control_deadline_s=0.05), reclaim=None
         )
         headers = [make_header("a", ["b"], MsgType.COMMAND) for _ in range(4)]
@@ -210,7 +261,7 @@ class TestLaneHeaderQueue:
         assert exc_info.value.accepted == 2  # gated at the watermark
 
     def test_unbounded_control_policy_never_blocks(self):
-        queue = LaneHeaderQueue(
+        queue = HeaderQueue(
             "q", spec(control_watermark=2), control_policy=CONTROL_UNBOUNDED
         )
         for _ in range(10):
@@ -218,7 +269,7 @@ class TestLaneHeaderQueue:
         assert queue.qsize() == 10
 
     def test_drain_returns_everything(self):
-        queue = LaneHeaderQueue("q", spec(), reclaim=None)
+        queue = HeaderQueue("q", spec(), reclaim=None)
         queue.put(make_header("a", ["b"], MsgType.DATA))
         queue.put(make_header("a", ["b"], MsgType.WEIGHTS))
         drained = queue.drain()
@@ -228,7 +279,7 @@ class TestLaneHeaderQueue:
 
 class TestFlowBuffers:
     def test_send_buffer_sheds_bulk_keeps_control(self):
-        buffer = FlowSendBuffer("s", spec(bulk_watermark=2))
+        buffer = SendBuffer("s", spec(bulk_watermark=2))
         for index in range(5):
             buffer.put(make_message("a", ["b"], MsgType.ROLLOUT, index))
         buffer.put(make_message("a", ["b"], MsgType.WEIGHTS, "w"))
@@ -238,7 +289,7 @@ class TestFlowBuffers:
         assert [message.body for message in got] == ["w", 3, 4]
 
     def test_put_after_close_raises_buffer_closed(self):
-        buffer = FlowSendBuffer("s", spec())
+        buffer = SendBuffer("s", spec())
         buffer.close()
         with pytest.raises(BufferClosedError):
             buffer.put(make_message("a", ["b"], MsgType.DATA, 1))
@@ -247,7 +298,7 @@ class TestFlowBuffers:
         assert issubclass(BufferClosedError, RuntimeError)
 
     def test_close_wakes_blocked_control_send(self):
-        buffer = FlowSendBuffer(
+        buffer = SendBuffer(
             "s", spec(control_watermark=1, control_deadline_s=30.0)
         )
         buffer.put(make_message("a", ["b"], MsgType.WEIGHTS, 0))
@@ -268,14 +319,14 @@ class TestFlowBuffers:
         assert len(errors) == 1  # clean shutdown error, not a 30 s hang
 
     def test_receive_buffer_control_is_unbounded(self):
-        buffer = FlowReceiveBuffer("r", spec(control_watermark=2))
+        buffer = ReceiveBuffer("r", spec(control_watermark=2))
         for index in range(10):
             buffer.put(make_message("a", ["b"], MsgType.WEIGHTS, index))
         assert buffer.qsize() == 10  # no blocking, no shedding
 
     def test_on_shed_callback(self):
         lost = []
-        buffer = FlowReceiveBuffer(
+        buffer = ReceiveBuffer(
             "r", spec(bulk_watermark=1), on_shed=lost.append
         )
         buffer.put(make_message("a", ["b"], MsgType.DATA, "old"))
@@ -318,18 +369,53 @@ class TestOptIn:
     def test_no_spec_means_plain_queues_and_buffers(self):
         broker = Broker("b")
         endpoint = ProcessEndpoint("p", broker)
-        assert isinstance(broker.communicator.header_queue, HeaderQueue)
-        assert not isinstance(broker.communicator.header_queue, LaneHeaderQueue)
+        queue = broker.communicator.header_queue
+        # One FIFO across message types: control does not overtake bulk.
+        headers = [
+            make_header("a", ["p"], msg_type)
+            for msg_type in (MsgType.ROLLOUT, MsgType.WEIGHTS, MsgType.DATA)
+        ] * 300
+        assert queue.put_many(headers) == len(headers)
+        drained = queue.get_many(len(headers), timeout=0)
+        assert drained == headers  # same order, nothing shed
+        assert all(LANE not in header for header in drained)  # unstamped
+        for index in range(600):  # far past any default watermark
+            endpoint.send_buffer.put(
+                make_message("p", ["q"], MsgType.ROLLOUT, index)
+            )
+        assert endpoint.send_buffer.total_shed == 0
+        assert [m.body for m in endpoint.send_buffer.get_many(600)] == list(
+            range(600)
+        )
+        assert broker.communicator.flow_stats() == {}
+        assert broker.communicator.lane_depths() == {}
         assert broker.wire is None
         assert endpoint.flow is None
-        assert broker.communicator.flow_stats() == {}
         broker.communicator.close()
 
-    def test_disabled_spec_means_plain_queues(self):
-        broker = Broker("b", flow=FlowControlSpec(enabled=False))
-        assert broker.flow is None
-        assert isinstance(broker.communicator.header_queue, HeaderQueue)
-        broker.communicator.close()
+    def test_no_spec_delivery_keeps_exact_send_order(self):
+        broker = Broker("b")
+        broker.start()
+        alice = ProcessEndpoint("alice", broker)
+        bob = ProcessEndpoint("bob", broker)
+        alice.start()
+        bob.start()
+        sent = [
+            (MsgType.WEIGHTS if index % 3 == 0 else MsgType.ROLLOUT, index)
+            for index in range(90)
+        ]
+        try:
+            for msg_type, index in sent:
+                alice.send(make_message("alice", ["bob"], msg_type, index))
+            got = []
+            deadline = time.monotonic() + 5
+            while len(got) < len(sent) and time.monotonic() < deadline:
+                got.extend(bob.receive_many(len(sent), timeout=0.2))
+        finally:
+            alice.stop()
+            bob.stop()
+            broker.stop()
+        assert [(m.msg_type, m.body) for m in got] == sent
 
 
 class TestFlowEndToEnd:
@@ -428,3 +514,23 @@ class TestReleaseHeaderShares:
         header = {SRC: "a", DST: ["x"], TYPE: MsgType.DATA,
                   OBJECT_ID: "gone-1"}
         release_header_shares(store, header)  # must not raise
+
+    def test_tolerates_already_released_object(self):
+        store = InMemoryObjectStore()
+        object_id = store.put("body", refcount=1)
+        header = {SRC: "a", DST: ["x", "y"], TYPE: MsgType.DATA,
+                  OBJECT_ID: object_id}
+        store.release(object_id)  # another path got there first
+        release_header_shares(store, header)  # must not raise
+        assert len(store) == 0
+
+    def test_other_store_errors_propagate(self):
+        # Only UnknownObjectError means "already freed"; anything else is a
+        # real store failure and must not be swallowed.
+        class BrokenStore:
+            def release(self, object_id):
+                raise ValueError("store is broken")
+
+        header = {SRC: "a", DST: ["x"], TYPE: MsgType.DATA, OBJECT_ID: "id-1"}
+        with pytest.raises(ValueError):
+            release_header_shares(BrokenStore(), header)

@@ -12,8 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.communicator import HeaderQueue
 from repro.core.config import FlowControlSpec
-from repro.core.flowcontrol import LaneHeaderQueue
 from repro.core.message import SEQ, TRACE, MsgType, make_header
 from repro.core.tracing import Tracer
 from repro.obs.metrics import MetricsRegistry
@@ -123,7 +123,7 @@ class TestQueueEmitsTerminals:
 
     def test_bulk_shed_emits_terminal_event(self):
         tracer = Tracer()
-        queue = LaneHeaderQueue("q", self._spec(), reclaim=None)
+        queue = HeaderQueue("q", self._spec(), reclaim=None)
         queue.tracer = tracer
         headers = [make_header("a", ["b"], MsgType.DATA) for _ in range(4)]
         for header in headers:
@@ -138,7 +138,7 @@ class TestQueueEmitsTerminals:
 
     def test_set_pressure_shed_emits_terminal_events(self):
         tracer = Tracer()
-        queue = LaneHeaderQueue(
+        queue = HeaderQueue(
             "q", self._spec(bulk_watermark=8), reclaim=None
         )
         queue.tracer = tracer
@@ -151,7 +151,7 @@ class TestQueueEmitsTerminals:
         registry = MetricsRegistry()
         spans = SpanAggregator(registry)
         tracer = Tracer(sink=spans.observe)
-        queue = LaneHeaderQueue("q", self._spec(), reclaim=None)
+        queue = HeaderQueue("q", self._spec(), reclaim=None)
         queue.tracer = tracer
         headers = [make_header("a", ["b"], MsgType.DATA) for _ in range(4)]
         for header in headers:
