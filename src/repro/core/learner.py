@@ -168,6 +168,11 @@ class LearnerProcess:
             self._trained_steps_since_stats += consumed
             if self.algorithm.should_broadcast():
                 self._broadcast(self.algorithm.broadcast_targets(self.explorer_names))
+            # Report progress inside the burst too: a replay learner catching
+            # up on a large backlog (DQN right after learn_start) can train
+            # for many seconds before leaving this loop, and the controller's
+            # total_trained_steps stop condition must not wait for that.
+            self._maybe_send_stats()
         if trained:
             self._wait_started = time.monotonic()
             if self.checkpointer is not None:

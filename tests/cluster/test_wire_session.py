@@ -43,7 +43,14 @@ class TestConfig:
 class TestWireSession:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_wire_session(_short_config(), trace=True)
+        # Run until the learner reports its first trained batch rather than
+        # for a fixed 1.5 s: DQN only starts training after learn_start
+        # (20_000) replay steps, and how long those take to arrive depends
+        # on how the explorer threads share the GIL with the learner on a
+        # loaded host.  The time cap only bounds a broken run.
+        config = _short_config()
+        config.stop = StopCondition(total_trained_steps=1, max_seconds=60.0)
+        return run_wire_session(config, trace=True)
 
     def test_trains_over_real_sockets(self, report):
         assert report.result.total_trained_steps > 0
